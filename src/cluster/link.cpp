@@ -1,16 +1,21 @@
 #include "cluster/link.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <random>
+#include <thread>
 #include <utility>
 
-#include "common/rng.hpp"
+#include "net/connection.hpp"
+#include "net/dial.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace stampede::cluster {
 namespace {
-
-using namespace std::chrono_literals;
 
 telemetry::Counter& connect_retries_counter() {
   static telemetry::Counter& counter =
@@ -18,70 +23,82 @@ telemetry::Counter& connect_retries_counter() {
   return counter;
 }
 
-/// Blocks until one whole frame arrives (pre-reader handshake phase).
-bool read_frame_blocking(int fd, std::string& carry, net::Frame* out,
-                         int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  char chunk[4096];
-  for (;;) {
-    std::size_t consumed = 0;
-    switch (net::decode_frame(carry, consumed, *out)) {
-      case net::DecodeStatus::kFrame:
-        carry.erase(0, consumed);
-        return true;
-      case net::DecodeStatus::kError:
-        return false;
-      case net::DecodeStatus::kNeedMore:
-        break;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::size_t received = 0;
-    switch (common::recv_some(fd, chunk, sizeof chunk, 100, &received)) {
-      case common::RecvStatus::kData:
-        carry.append(chunk, received);
-        break;
-      case common::RecvStatus::kTimeout:
-        break;
-      case common::RecvStatus::kClosed:
-      case common::RecvStatus::kError:
-        return false;
-    }
-  }
-}
-
 }  // namespace
 
-Link::Link(HostAddr addr, Options options)
-    : addr_(std::move(addr)), options_(options) {
+struct Link::State {
+  FrameHandler on_unsolicited;
+  DownHandler on_down;
+  std::atomic<bool> down{false};
+
+  std::mutex pending_mutex;
+  std::condition_variable pending_cv;
+  std::uint32_t next_channel = 1;
+  /// In-flight request() calls by channel; filled when the reply lands.
+  std::map<std::uint32_t, std::optional<net::Frame>> pending;
+
+  /// Loop thread: dispatches every complete frame; returns bytes eaten.
+  std::size_t on_data(net::Connection& conn, std::string_view data) {
+    std::size_t eaten = 0;
+    for (;;) {
+      std::size_t consumed = 0;
+      net::Frame frame;
+      const auto status =
+          net::decode_frame(data.substr(eaten), consumed, frame);
+      if (status == net::DecodeStatus::kNeedMore) return eaten;
+      if (status == net::DecodeStatus::kError) {
+        conn.close();  // on_close marks the link down.
+        return data.size();
+      }
+      eaten += consumed;
+      if (frame.channel != 0) {
+        const std::scoped_lock lock{pending_mutex};
+        const auto it = pending.find(frame.channel);
+        if (it != pending.end()) {
+          it->second = std::move(frame);
+          pending_cv.notify_all();
+        }
+      } else if (frame.type != net::FrameType::kHeartbeat && on_unsolicited) {
+        on_unsolicited(frame);
+      }
+    }
+  }
+
+  /// Under the pending lock, so no request() sleeps through the wakeup.
+  void set_down() {
+    {
+      const std::scoped_lock lock{pending_mutex};
+      down.store(true);
+    }
+    pending_cv.notify_all();
+  }
+};
+
+Link::Link(net::EventLoop& loop, HostAddr addr, Options options)
+    : loop_(loop),
+      addr_(std::move(addr)),
+      options_(options),
+      state_(std::make_shared<State>()) {
   common::Rng jitter{options_.jitter_seed != 0 ? options_.jitter_seed
                                                : std::random_device{}()};
   int backoff_ms = options_.backoff_ms;
+  common::SocketFd fd;
   for (int attempt = 1;; ++attempt) {
-    fd_ = common::connect_tcp(addr_.host, addr_.port);
-    if (fd_.valid()) break;
+    fd = common::connect_tcp(addr_.host, addr_.port);
+    if (fd.valid()) break;
     if (attempt >= options_.connect_attempts) {
       throw ClusterError{"cluster: cannot reach " + addr_.to_string() +
                          " after " + std::to_string(attempt) + " attempts"};
     }
     connect_retries_counter().inc();
-    const auto delay = std::chrono::milliseconds(static_cast<std::int64_t>(
-        static_cast<double>(backoff_ms) * jitter.uniform(0.8, 1.2)));
-    std::this_thread::sleep_for(delay);
-    backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+    std::this_thread::sleep_for(
+        net::next_backoff(backoff_ms, options_.max_backoff_ms, jitter));
   }
 
-  // Versioned handshake; the cluster frames only exist on connections
-  // where both sides advertised kFeatureCluster.
-  const std::string hello = net::encode_hello(1, net::kSupportedFeatures);
-  if (!common::send_all(fd_.get(), hello.data(), hello.size())) {
-    throw ClusterError{"cluster: handshake send to " + addr_.to_string() +
-                       " failed"};
-  }
-  std::string carry;
+  // Cluster frames only exist where both sides advertised
+  // kFeatureCluster. Bytes past HELLO_OK stay in carry_ for the loop.
   net::Frame reply;
-  if (!read_frame_blocking(fd_.get(), carry, &reply,
-                           options_.request_timeout_ms)) {
+  if (!net::exchange_hello(fd.get(), 1, net::kSupportedFeatures,
+                           options_.request_timeout_ms, carry_, &reply)) {
     throw ClusterError{"cluster: no handshake reply from " +
                        addr_.to_string()};
   }
@@ -93,130 +110,81 @@ Link::Link(HostAddr addr, Options options)
     throw ClusterError{"cluster: peer " + addr_.to_string() +
                        " does not speak the cluster protocol"};
   }
-  // Any frames the peer pushed right behind HELLO_OK are re-presented
-  // to the reader thread.
-  carry_ = std::move(carry);
+  conn_ = std::make_shared<net::Connection>(loop_, std::move(fd),
+                                            net::Connection::Options{});
 }
 
-Link::~Link() {
-  close();
-  if (reader_thread_.joinable()) reader_thread_.join();
-}
+Link::~Link() { close(); }
 
 void Link::start(FrameHandler on_unsolicited, DownHandler on_down) {
-  on_unsolicited_ = std::move(on_unsolicited);
-  on_down_ = std::move(on_down);
-  reader_thread_ = std::thread([this] { reader(); });
+  state_->on_unsolicited = std::move(on_unsolicited);
+  state_->on_down = std::move(on_down);
+  loop_.post([conn = conn_, state = state_,
+              carry = std::move(carry_)]() mutable {
+    net::Connection* raw = conn.get();
+    conn->start(
+        [state, raw](std::string_view data) {
+          return state->on_data(*raw, data);
+        },
+        [state] {  // Runs exactly once: on_down fires once.
+          state->set_down();
+          if (state->on_down) state->on_down();
+        },
+        std::move(carry));
+  });
 }
 
 bool Link::send(std::string_view bytes) {
-  const std::scoped_lock lock{send_mutex_};
-  if (down_.load()) return false;
-  if (!common::send_all(fd_.get(), bytes.data(), bytes.size())) {
-    down_.store(true);
+  if (state_->down.load()) return false;
+  if (!conn_->send(bytes)) {
+    state_->set_down();
     return false;
   }
   return true;
 }
 
 std::uint32_t Link::next_channel() {
-  const std::scoped_lock lock{pending_mutex_};
+  const std::scoped_lock lock{state_->pending_mutex};
   // Channel 0 is reserved for unsolicited frames; skip it on wrap.
-  if (++next_channel_ == 0) ++next_channel_;
-  return next_channel_;
+  if (++state_->next_channel == 0) ++state_->next_channel;
+  return state_->next_channel;
 }
 
 net::Frame Link::request(std::uint32_t channel, std::string_view bytes) {
+  State& s = *state_;
   {
-    const std::scoped_lock lock{pending_mutex_};
-    pending_.emplace(channel, Pending{});
+    const std::scoped_lock lock{s.pending_mutex};
+    s.pending.emplace(channel, std::nullopt);
   }
   if (!send(bytes)) {
-    const std::scoped_lock lock{pending_mutex_};
-    pending_.erase(channel);
+    const std::scoped_lock lock{s.pending_mutex};
+    s.pending.erase(channel);
     throw ClusterError{"cluster: " + addr_.to_string() + " is down"};
   }
-  std::unique_lock lock{pending_mutex_};
-  const bool done = pending_cv_.wait_for(
+  std::unique_lock lock{s.pending_mutex};
+  (void)s.pending_cv.wait_for(
       lock, std::chrono::milliseconds(options_.request_timeout_ms),
-      [&] { return pending_[channel].done || down_.load(); });
-  net::Frame reply = std::move(pending_[channel].reply);
-  const bool completed = pending_[channel].done;
-  pending_.erase(channel);
+      [&] { return s.pending[channel].has_value() || s.down.load(); });
+  std::optional<net::Frame> reply = std::move(s.pending[channel]);
+  s.pending.erase(channel);
   lock.unlock();
-  if (!done || !completed) {
+  if (!reply) {
     throw ClusterError{"cluster: request to " + addr_.to_string() +
-                       (down_.load() ? " failed (link down)" : " timed out")};
+                       (s.down.load() ? " failed (link down)" : " timed out")};
   }
-  if (reply.type == net::FrameType::kError) {
-    net::PayloadReader reader{reply.payload};
+  if (reply->type == net::FrameType::kError) {
+    net::PayloadReader reader{reply->payload};
     throw ClusterError{"cluster: " + addr_.to_string() +
                        " rejected request: " + reader.str()};
   }
-  return reply;
+  return std::move(*reply);
 }
+
+bool Link::alive() const noexcept { return !state_->down.load(); }
 
 void Link::close() {
-  down_.store(true);
-  fd_.shutdown_both();
-  pending_cv_.notify_all();
-}
-
-void Link::mark_down() {
-  down_.store(true);
-  pending_cv_.notify_all();
-  if (!down_fired_.exchange(true) && on_down_) on_down_();
-}
-
-void Link::dispatch(const net::Frame& frame) {
-  if (frame.channel != 0) {
-    const std::scoped_lock lock{pending_mutex_};
-    const auto it = pending_.find(frame.channel);
-    if (it != pending_.end()) {
-      it->second.reply = frame;
-      it->second.done = true;
-      pending_cv_.notify_all();
-    }
-    return;
-  }
-  if (frame.type == net::FrameType::kHeartbeat) return;
-  if (on_unsolicited_) on_unsolicited_(frame);
-}
-
-void Link::reader() {
-  std::string buffer = std::move(carry_);
-  char chunk[64 * 1024];
-  while (!down_.load()) {
-    // Drain every complete frame already buffered.
-    for (;;) {
-      std::size_t consumed = 0;
-      net::Frame frame;
-      const auto status = net::decode_frame(buffer, consumed, frame);
-      if (status == net::DecodeStatus::kFrame) {
-        buffer.erase(0, consumed);
-        dispatch(frame);
-        continue;
-      }
-      if (status == net::DecodeStatus::kError) {
-        mark_down();
-        return;
-      }
-      break;  // kNeedMore
-    }
-    std::size_t received = 0;
-    switch (common::recv_some(fd_.get(), chunk, sizeof chunk, 100, &received)) {
-      case common::RecvStatus::kData:
-        buffer.append(chunk, received);
-        break;
-      case common::RecvStatus::kTimeout:
-        break;
-      case common::RecvStatus::kClosed:
-      case common::RecvStatus::kError:
-        mark_down();
-        return;
-    }
-  }
-  mark_down();
+  state_->set_down();
+  conn_->close();
 }
 
 }  // namespace stampede::cluster

@@ -2,33 +2,33 @@
 // cluster::Link — one outbound cluster connection (router→shard-host,
 // primary→follower), living exactly as long as the TCP connection.
 //
-// Connecting is blocking with bounded, jittered retries (the BusClient
-// backoff discipline: exponential with ±20% jitter so a restarting
-// fleet does not reconnect in lockstep) — but unlike the bus client a
-// Link does NOT reconnect transparently: cluster peers hold routed
-// state (in-flight applies, replication offsets), so a dead link is
-// surfaced to the owner via on_down and the owner decides (fail over,
-// resync, or give up). Exhausting the attempts throws ClusterError
-// instead of hanging.
+// Connecting blocks with bounded, jittered retries (net::next_backoff,
+// as BusClient reconnects) — but unlike the bus client a Link does NOT
+// reconnect: cluster peers hold routed state (in-flight applies,
+// replication offsets), so a dead link is surfaced via on_down and the
+// owner decides (fail over, resync, or give up). Exhausting the
+// attempts throws ClusterError instead of hanging.
 //
-// After start(), a reader thread decodes frames off the socket:
-// nonzero channels complete pending request() calls; channel-0 frames
-// (acks, replication traffic) go to the owner's handler; heartbeats
-// are swallowed. request() is thread-safe and may overlap — replies
-// correlate by channel.
+// After start() the socket is a net::Connection on the owner's
+// EventLoop. Nonzero channels complete pending request() calls (which
+// may overlap; replies correlate by channel); channel-0 frames go to
+// the owner's handler; heartbeats are swallowed. That handler and
+// on_down run on the loop thread; request() blocks until the loop
+// delivers the reply, so never call it on the loop thread. Owners close
+// their links before stopping the loop.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "cluster/shard_map.hpp"
-#include "common/socket.hpp"
+#include "net/event_loop.hpp"
 #include "net/frame.hpp"
+
+namespace stampede::net {
+class Connection;
+}
 
 namespace stampede::cluster {
 
@@ -44,22 +44,22 @@ class Link {
  public:
   using Options = LinkOptions;
 
-  /// Channel-0 frames (unsolicited pushes) — called on the reader
-  /// thread. Heartbeats are filtered out before this fires.
+  /// Channel-0 frames (unsolicited pushes), on the loop thread.
   using FrameHandler = std::function<void(const net::Frame&)>;
-  /// Fires exactly once, on the reader thread, when the peer goes away.
+  /// Fires exactly once, on the loop thread, when the peer goes away or
+  /// the link is closed.
   using DownHandler = std::function<void()>;
 
   /// Connects (bounded retries) and runs the HELLO handshake requiring
   /// kFeatureCluster. Throws ClusterError on exhaustion or a peer that
-  /// lacks the feature.
-  explicit Link(HostAddr addr, Options options = {});
+  /// lacks the feature. `loop` runs the link and must outlive it.
+  Link(net::EventLoop& loop, HostAddr addr, Options options = {});
   ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Spawns the reader thread. Call once, before any request()/send().
+  /// Hands the socket to the loop. Call once, before request()/send().
   void start(FrameHandler on_unsolicited, DownHandler on_down);
 
   /// Fire-and-forget frame (already encoded). False once the link died.
@@ -74,38 +74,23 @@ class Link {
   [[nodiscard]] net::Frame request(std::uint32_t channel,
                                    std::string_view bytes);
 
-  [[nodiscard]] bool alive() const noexcept { return !down_.load(); }
+  [[nodiscard]] bool alive() const noexcept;
   [[nodiscard]] const HostAddr& addr() const noexcept { return addr_; }
 
-  /// Tears the connection down (idempotent; wakes the reader + waiters).
+  /// Tears the connection down (idempotent; wakes request() waiters).
   void close();
 
  private:
-  void reader();
-  void mark_down();
-  void dispatch(const net::Frame& frame);
+  /// What the loop-side callbacks touch, shared with them so a Link may
+  /// be destroyed while its close is still queued on the loop.
+  struct State;
 
+  net::EventLoop& loop_;
   HostAddr addr_;
   Options options_;
-  common::SocketFd fd_;
-  std::string carry_;  ///< Bytes read past HELLO_OK during the handshake.
-  std::thread reader_thread_;
-
-  std::mutex send_mutex_;
-  std::atomic<bool> down_{false};
-  std::atomic<bool> down_fired_{false};
-
-  FrameHandler on_unsolicited_;
-  DownHandler on_down_;
-
-  std::mutex pending_mutex_;
-  std::condition_variable pending_cv_;
-  std::uint32_t next_channel_ = 1;
-  struct Pending {
-    bool done = false;
-    net::Frame reply;
-  };
-  std::map<std::uint32_t, Pending> pending_;
+  std::string carry_;  ///< Bytes read past HELLO_OK.
+  std::shared_ptr<net::Connection> conn_;  ///< Registered by start().
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace stampede::cluster

@@ -36,28 +36,35 @@ RouterTelemetry& router_telemetry() {
 
 Router::Router(ShardMap map, RouterOptions options)
     : map_(std::move(map)), options_(options) {
+  loop_.start();
   peers_.reserve(map_.placements().size());
-  for (const Placement& placement : map_.placements()) {
-    auto peer = std::make_unique<Peer>();
-    peer->placement = placement;
-    connect_peer(*peer, placement.primary);
-    peers_.push_back(std::move(peer));
+  try {
+    for (const Placement& placement : map_.placements()) {
+      auto peer = std::make_unique<Peer>();
+      peer->placement = placement;
+      peer->link = connect(placement.primary);
+      peers_.push_back(std::move(peer));
+    }
+  } catch (...) {
+    close_links();
+    throw;
   }
 }
 
-Router::~Router() {
+Router::~Router() { close_links(); }
+
+void Router::close_links() {
   for (auto& peer : peers_) {
     if (peer->link) peer->link->close();
   }
-  // Join reader threads here, not in ~peers_: a reader observing the
-  // close fires the down handler, which broadcasts inflight_cv_ — a
-  // member declared after peers_ and therefore destroyed first.
-  for (auto& peer : peers_) peer->link.reset();
+  // Stopping the loop runs the queued closes and their down handlers
+  // while inflight_cv_ (destroyed before peers_) is still alive.
+  loop_.stop();
 }
 
-void Router::connect_peer(Peer& peer, const HostAddr& addr) {
-  peer.link = std::make_unique<Link>(addr, options_.link);
-  peer.link->start(
+std::unique_ptr<Link> Router::connect(const HostAddr& addr) {
+  auto link = std::make_unique<Link>(loop_, addr, options_.link);
+  link->start(
       [this](const net::Frame& frame) {
         if (frame.type == net::FrameType::kClusterAck) on_ack_frame(frame);
       },
@@ -65,6 +72,7 @@ void Router::connect_peer(Peer& peer, const HostAddr& addr) {
         // Wake blocked producers/drainers; they drive the failover.
         inflight_cv_.notify_all();
       });
+  return link;
 }
 
 void Router::on_ack_frame(const net::Frame& frame) {
@@ -242,12 +250,7 @@ void Router::do_failover(Peer& peer) {
                        " lost with no failover path"};
   }
 
-  auto link = std::make_unique<Link>(*peer.placement.follower, options_.link);
-  link->start(
-      [this](const net::Frame& frame) {
-        if (frame.type == net::FrameType::kClusterAck) on_ack_frame(frame);
-      },
-      [this] { inflight_cv_.notify_all(); });
+  auto link = connect(*peer.placement.follower);
 
   // Promote: the follower recovers the replicated WALs (tolerating a
   // torn trailing record) and starts serving these shards.

@@ -2,7 +2,8 @@
 // cluster::Router — the client-side brain of the distributed archive
 // (DESIGN.md §14).
 //
-// Owns the shard map and one Link per placement. Two faces:
+// Owns the shard map, one Link per placement and one EventLoop thread
+// that runs all of them (acks arrive on it). Two faces:
 //
 //   Ingest (loader::EventSink): the dispatcher thread routes each BP
 //   event with the SAME WorkflowRouteMap + FNV-1a hash a local
@@ -41,6 +42,7 @@
 #include "cluster/wire.hpp"
 #include "loader/event_sink.hpp"
 #include "loader/route_map.hpp"
+#include "net/event_loop.hpp"
 #include "query/shard_backend.hpp"
 
 namespace stampede::cluster {
@@ -135,7 +137,10 @@ class Router : public loader::EventSink {
     Router* router_;
   };
 
-  void connect_peer(Peer& peer, const HostAddr& addr);
+  /// A started link on loop_ whose acks feed the in-flight window.
+  [[nodiscard]] std::unique_ptr<Link> connect(const HostAddr& addr);
+  /// Closes every link and stops the loop (destructor, failed ctor).
+  void close_links();
   void on_ack_frame(const net::Frame& frame);
   /// Dead link → promote the follower and replay un-acked events.
   /// Throws ClusterError when no failover path remains.
@@ -149,6 +154,9 @@ class Router : public loader::EventSink {
 
   ShardMap map_;
   RouterOptions options_;
+  /// Runs every link, failover links included; declared before peers_
+  /// so it outlives them.
+  net::EventLoop loop_;
   std::vector<std::unique_ptr<Peer>> peers_;
   RemoteBackend backend_{*this};
 

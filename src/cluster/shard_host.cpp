@@ -81,8 +81,9 @@ void ShardHost::open_shard(std::size_t index) {
 
 void ShardHost::start() {
   if (running_.exchange(true)) return;
-  listen_fd_ = common::listen_tcp(options_.host, options_.port, 64, &port_);
+  listener_.emplace(options_.host, options_.port, 64);
   for (const std::size_t index : options_.shards) open_shard(index);
+  loop_.start();  // The replication link runs on it.
   start_replication();
   {
     const std::scoped_lock lock{hosted_mutex_};
@@ -91,13 +92,26 @@ void ShardHost::start() {
       h->lane = std::thread([this, h] { run_lane(*h); });
     }
   }
-  loop_.start();
   for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.query_threads);
        ++i) {
     pool_.emplace_back([this] { pool_worker(); });
   }
   start_compactor();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  listener_->start(loop_, [this](common::SocketFd fd) {
+    auto hconn = std::make_shared<HostConn>();
+    hconn->conn = std::make_shared<net::Connection>(
+        loop_, std::move(fd), net::Connection::Options{});
+    {
+      const std::scoped_lock lock{conns_mutex_};
+      conns_[hconn.get()] = hconn;
+    }
+    hconn->conn->start(
+        [this, hconn](std::string_view data) { return on_data(hconn, data); },
+        [this, hconn] {
+          const std::scoped_lock lock{conns_mutex_};
+          conns_.erase(hconn.get());
+        });
+  });
 }
 
 void ShardHost::start_compactor() {
@@ -118,7 +132,7 @@ void ShardHost::start_compactor() {
 
 void ShardHost::start_replication() {
   if (!options_.follower_addr) return;
-  repl_link_ = std::make_unique<Link>(*options_.follower_addr);
+  repl_link_ = std::make_unique<Link>(loop_, *options_.follower_addr);
   repl_link_->start(
       [this](const net::Frame& frame) {
         if (frame.type != net::FrameType::kClusterReplicateAck) return;
@@ -146,8 +160,9 @@ void ShardHost::start_replication() {
   // Bootstrap: ship each shard's whole WAL from offset 0 (the follower
   // truncates and resyncs), then install the sink so every commit's
   // bytes stream incrementally. No writes can interleave here — lanes
-  // and the acceptor have not started yet.
-  const std::scoped_lock lock{hosted_mutex_};
+  // and the listener have not started yet, so hosted_ cannot change and
+  // is read without hosted_mutex_: a send may wait for the loop to drain
+  // the link, and the loop takes that mutex to apply replication acks.
   for (auto& [index, hosted] : hosted_) {
     const std::string path = db::ShardedDatabase::shard_wal_path(
         options_.wal_base, index, options_.total_shards);
@@ -247,36 +262,6 @@ void ShardHost::flush_acks(Hosted& hosted) {
   }
 }
 
-void ShardHost::accept_loop() {
-  while (running_.load()) {
-    int accept_err = 0;
-    auto client = common::accept_client(listen_fd_.get(), 50, &accept_err);
-    if (!client.valid()) {
-      if (accept_err != 0) std::this_thread::sleep_for(50ms);
-      continue;
-    }
-    attach(std::move(client));
-  }
-}
-
-void ShardHost::attach(common::SocketFd fd) {
-  auto hconn = std::make_shared<HostConn>();
-  hconn->conn = std::make_shared<net::Connection>(
-      loop_, std::move(fd), net::Connection::Options{});
-  {
-    const std::scoped_lock lock{conns_mutex_};
-    conns_[hconn.get()] = hconn;
-  }
-  loop_.defer([this, hconn] {
-    hconn->conn->start(
-        [this, hconn](std::string_view data) { return on_data(hconn, data); },
-        [this, hconn] {
-          const std::scoped_lock lock{conns_mutex_};
-          conns_.erase(hconn.get());
-        });
-  });
-}
-
 std::size_t ShardHost::on_data(const std::shared_ptr<HostConn>& hconn,
                                std::string_view data) {
   if (hconn->dying) return data.size();
@@ -332,17 +317,8 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad query"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
+      Hosted* hosted = find_hosted(*hconn->conn, frame.channel, shard);
+      if (hosted == nullptr) return true;
       auto conn = hconn->conn;
       const std::uint32_t channel = frame.channel;
       pool_jobs_.push([hosted, select, conn, channel] {
@@ -363,17 +339,8 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad versions"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
+      Hosted* hosted = find_hosted(*hconn->conn, frame.channel, shard);
+      if (hosted == nullptr) return true;
       auto conn = hconn->conn;
       const std::uint32_t channel = frame.channel;
       pool_jobs_.push([hosted, tables, conn, channel] {
@@ -392,17 +359,8 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad stats"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
+      Hosted* hosted = find_hosted(*hconn->conn, frame.channel, shard);
+      if (hosted == nullptr) return true;
       auto conn = hconn->conn;
       const std::uint32_t channel = frame.channel;
       pool_jobs_.push([hosted, conn, channel] {
@@ -429,6 +387,19 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
   }
 }
 
+ShardHost::Hosted* ShardHost::find_hosted(net::Connection& conn,
+                                          std::uint32_t channel,
+                                          std::uint32_t shard) {
+  {
+    const std::scoped_lock lock{hosted_mutex_};
+    const auto it = hosted_.find(shard);
+    if (it != hosted_.end()) return it->second.get();
+  }
+  conn.send(net::encode_error(
+      channel, "shard " + std::to_string(shard) + " not hosted"));
+  return nullptr;
+}
+
 void ShardHost::handle_apply(const std::shared_ptr<HostConn>& hconn,
                              const net::Frame& frame) {
   std::uint32_t shard = 0;
@@ -437,17 +408,8 @@ void ShardHost::handle_apply(const std::shared_ptr<HostConn>& hconn,
     hconn->conn->send(net::encode_error(frame.channel, "bad apply"));
     return;
   }
-  Hosted* hosted = nullptr;
-  {
-    const std::scoped_lock lock{hosted_mutex_};
-    const auto it = hosted_.find(shard);
-    if (it != hosted_.end()) hosted = it->second.get();
-  }
-  if (hosted == nullptr) {
-    hconn->conn->send(net::encode_error(
-        frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-    return;
-  }
+  Hosted* hosted = find_hosted(*hconn->conn, frame.channel, shard);
+  if (hosted == nullptr) return;
   host_telemetry().apply_frames.inc();
   {
     const std::scoped_lock lock{hosted->origin_mutex};
@@ -566,21 +528,22 @@ void ShardHost::stop() {
     const std::scoped_lock lock{compactor_mutex_};
     compactor_.reset();
   }
-  if (acceptor_.joinable()) acceptor_.join();
+  // Refuse new connects from here on: a stopped (or killed) host must
+  // look gone to its peers, not complete handshakes nobody serves.
+  if (listener_) listener_->stop();
   {
     // Close connections first: a lane blocked in an ack send unblocks.
     const std::scoped_lock lock{conns_mutex_};
     for (auto& [ptr, hconn] : conns_) hconn->conn->close();
   }
   if (repl_link_) repl_link_->close();
-  {
-    const std::scoped_lock lock{hosted_mutex_};
-    for (auto& [index, hosted] : hosted_) hosted->queue.close();
-  }
   std::vector<Hosted*> lanes;
   {
     const std::scoped_lock lock{hosted_mutex_};
-    for (auto& [index, hosted] : hosted_) lanes.push_back(hosted.get());
+    for (auto& [index, hosted] : hosted_) {
+      hosted->queue.close();
+      lanes.push_back(hosted.get());
+    }
   }
   for (Hosted* hosted : lanes) {
     if (hosted->lane.joinable()) hosted->lane.join();

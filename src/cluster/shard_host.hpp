@@ -21,11 +21,12 @@
 //   restart; mid-file corruption refuses the promotion), starts lanes
 //   and serves as the new primary for those shards.
 //
-// Threading mirrors the bus server: a blocking acceptor feeds one
-// epoll EventLoop that owns all connection state; queries run on a
-// small pool so a scan never stalls the loop; each shard's lane thread
-// owns its loader. APPLY frames enqueue to the lane (the router's
-// in-flight cap bounds the queue); acks flow back from the lane.
+// Threading mirrors the bus server: one epoll EventLoop accepts
+// (net::Listener) and owns all connection state, the replication Link
+// included; queries run on a small pool so a scan never stalls the
+// loop; each shard's lane thread owns its loader. APPLY frames enqueue
+// to the lane (unbounded — the router's in-flight cap bounds it — so the
+// loop never blocks on a lane); acks flow back from the lane.
 
 #include <atomic>
 #include <condition_variable>
@@ -50,6 +51,7 @@
 #include "loader/stampede_loader.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
+#include "net/listener.hpp"
 
 namespace stampede::cluster {
 
@@ -95,8 +97,9 @@ class ShardHost {
   /// unreachable follower.
   void start();
 
-  /// Graceful: drains lanes (final flush), closes connections, joins
-  /// everything. Idempotent; the destructor calls it.
+  /// Graceful: stops listening (new connects are refused), drains lanes
+  /// (final flush), closes connections, joins everything. Idempotent;
+  /// the destructor calls it.
   void stop();
 
   /// Crash simulation for failover tests: abandons the lanes without
@@ -105,7 +108,9 @@ class ShardHost {
   /// object stays destructible.
   void kill();
 
-  [[nodiscard]] int port() const noexcept { return port_; }
+  [[nodiscard]] int port() const noexcept {
+    return listener_ ? listener_->port() : 0;
+  }
   /// True once a follower received a promote (diagnostics).
   [[nodiscard]] bool promoted() const noexcept { return promoted_.load(); }
 
@@ -157,12 +162,13 @@ class ShardHost {
   };
 
   void open_shard(std::size_t index);
-  void accept_loop();
-  void attach(common::SocketFd fd);
   std::size_t on_data(const std::shared_ptr<HostConn>& hconn,
                       std::string_view data);
   bool handle_frame(const std::shared_ptr<HostConn>& hconn,
                     const net::Frame& frame);
+  /// The hosted shard, or null after answering "not hosted" on `conn`.
+  Hosted* find_hosted(net::Connection& conn, std::uint32_t channel,
+                      std::uint32_t shard);
   void handle_apply(const std::shared_ptr<HostConn>& hconn,
                     const net::Frame& frame);
   void handle_replicate(const std::shared_ptr<HostConn>& hconn,
@@ -176,11 +182,9 @@ class ShardHost {
   void pool_worker();
 
   ShardHostOptions options_;
-  common::SocketFd listen_fd_;
-  int port_ = 0;
 
   net::EventLoop loop_;
-  std::thread acceptor_;
+  std::optional<net::Listener> listener_;  ///< Bound by start().
   std::atomic<bool> running_{false};
   std::atomic<bool> abandoned_{false};
   std::atomic<bool> promoted_{false};

@@ -40,10 +40,6 @@ void SocketFd::reset() noexcept {
   }
 }
 
-void SocketFd::shutdown_both() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 bool set_nonblocking(int fd, bool enabled) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
@@ -80,29 +76,6 @@ SocketFd listen_tcp(const std::string& host, int port, int backlog,
     throw std::runtime_error("listen() failed");
   }
   return fd;
-}
-
-SocketFd accept_client(int listen_fd, int timeout_ms, int* fatal_errno) {
-  if (fatal_errno != nullptr) *fatal_errno = 0;
-  pollfd pfd{listen_fd, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0) return SocketFd{};
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      SocketFd client{fd};
-      (void)set_tcp_nodelay(client.get());
-      return client;
-    }
-    // The pending connection was reset before we got to it, or a signal
-    // landed mid-accept; both are retryable without re-polling because
-    // the listening socket is still readable-or-empty (EAGAIN exits).
-    if (errno == EINTR || errno == ECONNABORTED) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK && fatal_errno != nullptr) {
-      *fatal_errno = errno;
-    }
-    return SocketFd{};
-  }
 }
 
 SocketFd accept_nonblocking(int listen_fd, int* fatal_errno) {

@@ -1,15 +1,14 @@
 #pragma once
 // Shared raw-socket helpers for the embedded servers (dashboard HTTP,
 // net::BusServer/BusClient). Plain POSIX TCP, loopback-oriented, no
-// external dependencies: RAII fds, bind/listen/accept with poll-based
-// timeouts, and full-buffer read/write loops that handle short
-// transfers, EINTR and SIGPIPE (every send uses MSG_NOSIGNAL, so a
-// vanished peer surfaces as an error return instead of killing the
-// process).
+// external dependencies: RAII fds, bind/listen/accept, and full-buffer
+// read/write loops that handle short transfers, EINTR and SIGPIPE
+// (every send uses MSG_NOSIGNAL, so a vanished peer surfaces as an
+// error return instead of killing the process).
 //
 // Two call families live here:
-//   - Blocking helpers (send_all, recv_some, accept_client) used by the
-//     synchronous client paths and tests.
+//   - Blocking helpers (send_all, recv_some) used by the synchronous
+//     client paths and tests.
 //   - Non-blocking primitives (set_nonblocking, send_some,
 //     recv_nonblocking, accept_nonblocking) used by the net::EventLoop
 //     reactor under the bus and dashboard servers. These never park the
@@ -53,10 +52,6 @@ class SocketFd {
   /// Closes now (idempotent, EINTR-safe).
   void reset() noexcept;
 
-  /// shutdown(SHUT_RDWR): unblocks a peer thread parked in poll/recv on
-  /// this fd without racing the close (the fd number stays reserved).
-  void shutdown_both() noexcept;
-
  private:
   int fd_ = -1;
 };
@@ -82,15 +77,6 @@ bool set_reuseaddr(int fd, bool enabled = true);
 /// IPv4 literal or "localhost".
 [[nodiscard]] SocketFd listen_tcp(const std::string& host, int port,
                                   int backlog, int* bound_port);
-
-/// Polls the listening fd up to `timeout_ms` and accepts one client
-/// (EINTR/ECONNABORTED retried within the window, TCP_NODELAY applied).
-/// Invalid SocketFd on timeout or error; `fatal_errno` (may be null)
-/// receives the errno of a non-retryable accept failure (EMFILE-class)
-/// and 0 otherwise, so accept loops can back off instead of re-polling
-/// a backlog that stays readable.
-[[nodiscard]] SocketFd accept_client(int listen_fd, int timeout_ms,
-                                     int* fatal_errno = nullptr);
 
 /// Non-blocking accept for a listening fd owned by an event loop.
 /// Invalid SocketFd when no connection is pending (EAGAIN) or on a

@@ -4,7 +4,8 @@
 // (paper §IV-F; theirs was Python, ours is an epoll reactor).
 //
 // Runs on the same net::EventLoop core as the bus server (DESIGN.md
-// §12): one loop thread accepts and serves every connection, so a
+// §12): one loop thread accepts (net::Listener, which also pauses
+// accepting on fd exhaustion) and serves every connection, so a
 // trickling client no longer serializes the whole server — it just
 // parks a buffer and a deadline timer.
 //
@@ -23,6 +24,7 @@
 
 #include "common/socket.hpp"
 #include "net/event_loop.hpp"
+#include "net/listener.hpp"
 
 namespace stampede::net {
 class Connection;
@@ -112,7 +114,7 @@ class HttpServer {
   /// destructor calls it.
   void stop();
 
-  [[nodiscard]] int port() const noexcept { return port_; }
+  [[nodiscard]] int port() const noexcept { return listener_.port(); }
 
  private:
   friend class HttpResponder;
@@ -138,13 +140,8 @@ class HttpServer {
     HttpServer* server = nullptr;
   };
 
-  void accept_ready();
-  /// (Re-)registers the listen fd with the loop; loop thread only.
-  bool watch_listen_fd();
-  /// Drops the listen-fd watch and retries it on a timer — the escape
-  /// hatch when accept fails EMFILE-class while the backlog keeps the
-  /// level-triggered fd readable (an immediate retry would spin).
-  void pause_accepting();
+  /// Loop thread: starts serving one accepted socket.
+  void accept(common::SocketFd client);
   /// Consumes buffered request bytes; returns bytes eaten.
   std::size_t on_data(const std::shared_ptr<Pending>& pending,
                       std::string_view data);
@@ -154,8 +151,7 @@ class HttpServer {
       const std::string& path, std::vector<std::string>* params) const;
 
   HttpServerOptions options_;
-  common::SocketFd listen_fd_;
-  int port_ = 0;
+  net::Listener listener_;
   std::vector<Route> routes_;
   net::EventLoop loop_;
   std::atomic<bool> running_{false};

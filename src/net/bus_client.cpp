@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/errors.hpp"
-#include "common/rng.hpp"
+#include "net/dial.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace stampede::net {
@@ -89,10 +89,7 @@ void BusClient::close() {
 // -- IO thread --------------------------------------------------------------
 
 void BusClient::io_loop(const std::stop_token& stop) {
-  // ±20% jitter on every backoff sleep: when a broker restarts under
-  // hundreds of publishers, their retry clocks decorrelate instead of
-  // stampeding the fresh listener in lockstep. Seeded per client from
-  // the OS so separate processes do not share a sequence.
+  // Seeded per client from the OS so processes do not share a sequence.
   common::Rng jitter{std::random_device{}()};
   int backoff_ms = options_.reconnect_initial_ms;
   while (!stop.stop_requested()) {
@@ -100,14 +97,13 @@ void BusClient::io_loop(const std::stop_token& stop) {
     auto fd = establish(stop, carry);
     if (!fd.valid()) {
       client_telemetry().reconnect_attempts.inc();
-      const auto jittered = static_cast<std::int64_t>(
-          static_cast<double>(backoff_ms) * jitter.uniform(0.8, 1.2));
       // Sliced sleep so stop() does not wait out the whole backoff.
-      const auto deadline = Clock::now() + std::chrono::milliseconds(jittered);
+      const auto deadline =
+          Clock::now() +
+          next_backoff(backoff_ms, options_.reconnect_max_ms, jitter);
       while (Clock::now() < deadline && !stop.stop_requested()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
-      backoff_ms = std::min(backoff_ms * 2, options_.reconnect_max_ms);
       continue;
     }
     backoff_ms = options_.reconnect_initial_ms;
@@ -127,34 +123,10 @@ common::SocketFd BusClient::establish(const std::stop_token& stop,
       (options_.enable_batch ? kFeatureBatch : 0u);
   const bool want_features =
       wanted != 0 && !hello_legacy_.load(std::memory_order_relaxed);
-  const auto hello =
-      encode_hello(next_channel(), want_features ? wanted : 0u);
-  if (!common::send_all(fd.get(), hello.data(), hello.size())) {
-    return {};
-  }
-  // Synchronous handshake read: the only frame we ever wait for without
-  // the dispatch loop running.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.request_timeout_ms);
   Frame frame;
-  for (;;) {
-    std::size_t consumed = 0;
-    const auto status = decode_frame(carry, consumed, frame);
-    if (status == DecodeStatus::kError) return {};
-    if (status == DecodeStatus::kFrame) {
-      carry.erase(0, consumed);
-      break;
-    }
-    if (stop.stop_requested() || Clock::now() >= deadline) return {};
-    char chunk[4096];
-    std::size_t received = 0;
-    const auto recv =
-        common::recv_some(fd.get(), chunk, sizeof(chunk), 100, &received);
-    if (recv == common::RecvStatus::kClosed ||
-        recv == common::RecvStatus::kError) {
-      return {};
-    }
-    carry.append(chunk, received);
+  if (!exchange_hello(fd.get(), next_channel(), want_features ? wanted : 0u,
+                      options_.request_timeout_ms, carry, &frame, stop)) {
+    return {};
   }
   if (frame.type != FrameType::kHelloOk) {
     // A v1 server refuses the feature-extended HELLO with kError before

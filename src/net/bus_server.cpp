@@ -103,13 +103,12 @@ struct BusServer::ServerConn {
 };
 
 BusServer::BusServer(bus::Broker& broker, BusServerOptions options)
-    : broker_(&broker), options_(std::move(options)) {
+    : broker_(&broker),
+      options_(std::move(options)),
+      listener_(options_.host, options_.port, /*backlog=*/512) {
   options_.workers = std::max<std::size_t>(options_.workers, 1);
   options_.deliver_batch_max =
       std::max<std::size_t>(options_.deliver_batch_max, 1);
-  listen_fd_ =
-      common::listen_tcp(options_.host, options_.port, /*backlog=*/512,
-                         &port_);
 }
 
 BusServer::~BusServer() { stop(); }
@@ -126,15 +125,17 @@ void BusServer::start() {
   reaper_ = std::jthread([this] {
     while (auto sconn = reap_queue_.pop()) reap(*sconn);
   });
-  acceptor_ =
-      std::jthread([this](std::stop_token stop) { accept_loop(stop); });
+  listener_.start(*loops_.front(), [this](common::SocketFd fd) {
+    // Round-robin worker assignment; the accepting loop never touches
+    // the socket again.
+    auto* loop = loops_[next_loop_++ % loops_.size()].get();
+    attach(std::make_shared<ServerConn>(
+        *loop, std::move(fd), conn_seq_.fetch_add(1) + 1, options_));
+  });
 }
 
 void BusServer::stop() {
-  if (acceptor_.joinable()) {
-    acceptor_.request_stop();
-    acceptor_.join();
-  }
+  listener_.stop();
   // Close every connection; the workers run each teardown (nack handoff
   // to the reaper included) and the registry drains.
   {
@@ -148,35 +149,12 @@ void BusServer::stop() {
   }
   for (const auto& loop : loops_) loop->stop();
   loops_.clear();
-  listen_fd_.reset();
   running_.store(false);
 }
 
 std::size_t BusServer::active_connections() const {
   const std::scoped_lock lock{conns_mutex_};
   return conns_.size();
-}
-
-void BusServer::accept_loop(const std::stop_token& stop) {
-  while (!stop.stop_requested()) {
-    int accept_err = 0;
-    auto client = common::accept_client(listen_fd_.get(), 50, &accept_err);
-    if (!client.valid()) {
-      if (accept_err != 0) {
-        // EMFILE-class: the pending connection keeps the backlog
-        // readable, so the 50 ms poll returns instantly and this loop
-        // would spin hot. Sleep out the window instead.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
-    // Round-robin worker assignment; the acceptor never touches the
-    // socket again.
-    auto* loop = loops_[next_loop_++ % loops_.size()].get();
-    auto sconn = std::make_shared<ServerConn>(
-        *loop, std::move(client), conn_seq_.fetch_add(1) + 1, options_);
-    attach(sconn);
-  }
 }
 
 void BusServer::attach(const std::shared_ptr<ServerConn>& sconn) {

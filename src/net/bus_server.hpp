@@ -4,12 +4,12 @@
 // RabbitMQ-broker-on-the-network role of paper §IV-C, Fig. 1).
 //
 // Connections are multiplexed over N EventLoop workers (epoll reactors)
-// instead of thread-per-connection: a blocking acceptor thread assigns
-// each accepted socket round-robin to a worker, and ALL protocol state
-// for a connection lives on its worker thread. The only per-connection
-// threads left are consumer pumps — one per CONSUME'd queue — because
-// the broker's basic_get is a blocking call; a pump drains the broker
-// in batches and feeds the connection's bounded outbound buffer.
+// instead of thread-per-connection: a net::Listener on the first worker
+// assigns each accepted socket round-robin to a worker, and ALL protocol
+// state for a connection lives on its worker thread. Beside the workers
+// and one reaper, the only threads are consumer pumps — one per
+// CONSUME'd queue — because the broker's basic_get blocks; a pump drains
+// the broker in batches into the connection's bounded outbound buffer.
 //
 // Backpressure: Connection::send from a pump blocks while the outbound
 // buffer is at its byte capacity, so a slow consumer stalls its own
@@ -43,6 +43,7 @@
 #include "common/socket.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
+#include "net/listener.hpp"
 
 namespace stampede::net {
 
@@ -81,13 +82,12 @@ class BusServer {
   /// calls it.
   void stop();
 
-  [[nodiscard]] int port() const noexcept { return port_; }
+  [[nodiscard]] int port() const noexcept { return listener_.port(); }
   [[nodiscard]] std::size_t active_connections() const;
 
  private:
   struct ServerConn;
 
-  void accept_loop(const std::stop_token& stop);
   void attach(const std::shared_ptr<ServerConn>& sconn);
   /// Consumes complete frames out of `data`; returns bytes eaten.
   std::size_t on_data(const std::shared_ptr<ServerConn>& sconn,
@@ -109,16 +109,14 @@ class BusServer {
 
   bus::Broker* broker_;
   BusServerOptions options_;
-  common::SocketFd listen_fd_;
-  int port_ = 0;
+  Listener listener_;
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::jthread acceptor_;
   std::jthread reaper_;
   common::ConcurrentQueue<std::shared_ptr<ServerConn>> reap_queue_{0};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> conn_seq_{0};
-  std::size_t next_loop_ = 0;  ///< Acceptor-thread-only round robin.
+  std::size_t next_loop_ = 0;  ///< loops_[0]-thread-only round robin.
 
   mutable std::mutex conns_mutex_;
   std::condition_variable conns_cv_;

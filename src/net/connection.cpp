@@ -29,7 +29,8 @@ Connection::Connection(EventLoop& loop, common::SocketFd fd, Options options)
 
 Connection::~Connection() = default;
 
-void Connection::start(DataHandler on_data, CloseHandler on_close) {
+void Connection::start(DataHandler on_data, CloseHandler on_close,
+                       std::string received) {
   on_data_ = std::move(on_data);
   on_close_ = std::move(on_close);
   (void)common::set_nonblocking(fd_.get());
@@ -40,7 +41,10 @@ void Connection::start(DataHandler on_data, CloseHandler on_close) {
     // arrive, so tear down — deferred so the caller finishes wiring its
     // connection bookkeeping before on_close fires.
     loop_.defer([self] { self->do_close(); });
+    return;
   }
+  inbuf_ = std::move(received);
+  deliver();
 }
 
 void Connection::handle_events(std::uint32_t mask) {
@@ -80,24 +84,25 @@ void Connection::handle_readable() {
     break;
   }
 
-  if (inbuf_.size() > in_off_ && on_data_) {
-    const std::string_view unconsumed =
-        std::string_view(inbuf_).substr(in_off_);
-    const std::size_t consumed = on_data_(unconsumed);
-    if (closed_loop_) return;  // Handler closed us.
-    in_off_ += std::min(consumed, unconsumed.size());
-    // Compact once the dead prefix dominates; keeps torn frames cheap
-    // without shifting bytes on every event.
-    if (in_off_ == inbuf_.size()) {
-      inbuf_.clear();
-      in_off_ = 0;
-    } else if (in_off_ > 4096 && in_off_ >= inbuf_.size() / 2) {
-      inbuf_.erase(0, in_off_);
-      in_off_ = 0;
-    }
-  }
-
+  deliver();
   if (peer_gone) do_close();
+}
+
+void Connection::deliver() {
+  if (inbuf_.size() <= in_off_ || !on_data_) return;
+  const std::string_view unconsumed = std::string_view(inbuf_).substr(in_off_);
+  const std::size_t consumed = on_data_(unconsumed);
+  if (closed_loop_) return;  // Handler closed us.
+  in_off_ += std::min(consumed, unconsumed.size());
+  // Compact once the dead prefix dominates; keeps torn frames cheap
+  // without shifting bytes on every event.
+  if (in_off_ == inbuf_.size()) {
+    inbuf_.clear();
+    in_off_ = 0;
+  } else if (in_off_ > 4096 && in_off_ >= inbuf_.size() / 2) {
+    inbuf_.erase(0, in_off_);
+    in_off_ = 0;
+  }
 }
 
 bool Connection::send(std::string_view bytes) {

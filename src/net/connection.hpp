@@ -73,8 +73,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   Connection& operator=(const Connection&) = delete;
 
   /// Registers with the loop (loop thread only). Switches the fd to
-  /// non-blocking and arms readability.
-  void start(DataHandler on_data, CloseHandler on_close);
+  /// non-blocking and arms readability. `received` (bytes a blocking
+  /// handshake read past its reply) reaches on_data before it returns.
+  void start(DataHandler on_data, CloseHandler on_close,
+             std::string received = {});
 
   /// Queues `bytes` for transmission. Thread-safe. From a non-loop
   /// thread, blocks while the outbound buffer is at capacity (the
@@ -91,13 +93,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// callers are deferred onto the loop.
   void close_after_flush();
 
-  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
   /// True once teardown ran (loop thread only — racy elsewhere).
   [[nodiscard]] bool closed() const noexcept { return closed_loop_; }
 
  private:
   void handle_events(std::uint32_t mask);
   void handle_readable();
+  /// Hands the unconsumed inbound bytes to on_data_.
+  void deliver();
   void flush_on_loop();
   void do_close();
 

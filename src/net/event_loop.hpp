@@ -95,11 +95,6 @@ class EventLoop {
                          std::function<void()> callback);
   void cancel(TimerId id);
 
-  /// Loop-thread count of fds currently watched (diagnostics).
-  [[nodiscard]] std::size_t watched_fds() const noexcept {
-    return watches_.size();
-  }
-
  private:
   static constexpr int kWheelSlots = 256;
   static constexpr std::int64_t kTickMs = 4;

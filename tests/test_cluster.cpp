@@ -32,6 +32,7 @@
 #include "db/sharded_database.hpp"
 #include "loader/nl_load.hpp"
 #include "loader/sharded_loader.hpp"
+#include "net/bus_server.hpp"
 #include "netlogger/events.hpp"
 #include "netlogger/formatter.hpp"
 #include "netlogger/parser.hpp"
@@ -425,7 +426,8 @@ TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
                           .value();
   const auto start = std::chrono::steady_clock::now();
   // Port 1 on localhost: connection refused immediately.
-  EXPECT_THROW(cluster::Link({"127.0.0.1", 1}, options),
+  net::EventLoop loop;
+  EXPECT_THROW(cluster::Link(loop, {"127.0.0.1", 1}, options),
                cluster::ClusterError);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
@@ -435,6 +437,83 @@ TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
                 .counter("stampede_cluster_connect_retries_total")
                 .value(),
             before + 2);  // attempts - 1 retries.
+}
+
+TEST(ClusterLink, KilledHostRefusesConnectsWithinTheRetryBound) {
+  const auto dir = fresh_dir("stampede_test_cluster_killed");
+  auto fleet = Fleet::start(dir, {{0}}, 1);
+  const int port = fleet.hosts[0]->port();
+  fleet.hosts[0]->kill();
+  // A crashed host must look gone: no listener completes the handshake.
+  EXPECT_FALSE(stampede::common::connect_tcp("127.0.0.1", port).valid());
+
+  cluster::LinkOptions options;
+  options.connect_attempts = 2;
+  options.backoff_ms = 10;
+  options.request_timeout_ms = 1500;
+  net::EventLoop loop;
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    const cluster::Link link{loop, {"127.0.0.1", port}, options};
+  } catch (const cluster::ClusterError& e) {
+    error = e.what();
+  }
+  const auto elapsed = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_NE(error.find("cannot reach 127.0.0.1:" + std::to_string(port) +
+                       " after 2 attempts"),
+            std::string::npos)
+      << error;
+  EXPECT_LT(elapsed, 0.5);  // Well under request_timeout_ms.
+}
+
+// ---------------------------------------------------------------------------
+// Thread budget: listeners and cluster links run on reactor threads the
+// servers already own, so starting one adds only its fixed threads.
+
+namespace {
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(ClusterThreads, ServersAndRouterStartOnlyTheirFixedThreads) {
+  stampede::bus::Broker broker;
+  net::BusServerOptions bus_options;
+  bus_options.workers = 1;
+  net::BusServer server{broker, bus_options};
+  std::size_t before = thread_count();
+  server.start();
+  EXPECT_EQ(thread_count() - before, 2u);  // One worker loop + the reaper.
+
+  const auto dir = fresh_dir("stampede_test_cluster_threads");
+  cluster::ShardHostOptions fo;
+  fo.wal_base = (dir / "replica.db").string();
+  fo.total_shards = 2;
+  fo.follower = true;
+  cluster::ShardHost follower{fo};
+  before = thread_count();
+  follower.start();
+  EXPECT_EQ(thread_count() - before, 3u);  // Loop + two query threads.
+
+  auto fleet = Fleet::start(dir, {{0}, {1}}, 2);
+  before = thread_count();
+  {
+    cluster::Router router{cluster::ShardMap::parse(fleet.spec)};
+    EXPECT_EQ(thread_count() - before, 1u);  // One loop for both links.
+  }
+  for (auto& host : fleet.hosts) host->stop();
+  follower.stop();
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +751,9 @@ TEST(ClusterFailover, MidFileReplicaCorruptionRefusesPromotion) {
   cluster::ShardHost follower{fo};
   follower.start();
 
-  cluster::Link link{{"127.0.0.1", follower.port()}};
+  net::EventLoop loop;
+  loop.start();
+  cluster::Link link{loop, {"127.0.0.1", follower.port()}};
   link.start([](const net::Frame&) {}, [] {});
   // Corruption in the *middle* of the replicated WAL — not a torn tail,
   // so promotion must refuse rather than silently drop committed data.
@@ -715,7 +796,7 @@ TEST(ClusterHttp, ClusterzAndReadyzReportFleetConnectivity) {
 
   // Kill one host (no follower): the router is no longer ready.
   fleet.hosts[1]->kill();
-  // The link notices EOF on its reader thread; poll briefly.
+  // The link notices EOF on the router's loop; poll briefly.
   for (int i = 0; i < 100 && router.all_connected(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }

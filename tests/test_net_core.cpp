@@ -2,13 +2,22 @@
 // task/timer dispatch, Connection frame reassembly under torn and
 // byte-at-a-time delivery, oversize-frame rejection, the slow-consumer
 // backpressure chain (bounded outbound buffer → blocked producer → TCP
-// pushback), batch-frame codec round-trips, and a many-connection soak
-// (≥512 concurrent publishers against one BusServer).
+// pushback), batch-frame codec round-trips, a many-connection soak
+// (≥512 concurrent publishers against one BusServer), and the listener's
+// accept pause under fd exhaustion.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -57,8 +66,11 @@ TcpPair make_tcp_pair() {
   TcpPair pair;
   pair.client = common::connect_tcp("127.0.0.1", port);
   EXPECT_TRUE(pair.client.valid());
-  pair.server = common::accept_client(listener.get(), /*timeout_ms=*/2000);
+  // The connect above already completed into the backlog, so a plain
+  // blocking accept returns at once.
+  pair.server = common::SocketFd{::accept(listener.get(), nullptr, nullptr)};
   EXPECT_TRUE(pair.server.valid());
+  (void)common::set_tcp_nodelay(pair.server.get());
   return pair;
 }
 
@@ -808,5 +820,78 @@ TEST(BusServerSoak, FiveHundredTwelveConcurrentPublishers) {
   EXPECT_EQ(broker.queue_stats("soak.q").depth, kConnections);
 
   sockets.clear();
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Accept under fd exhaustion
+
+namespace {
+
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for its scope and restores
+/// the original limit on exit.
+class FdLimitGuard {
+ public:
+  explicit FdLimitGuard(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(soft, saved_.rlim_cur);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+  }
+  ~FdLimitGuard() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  FdLimitGuard(const FdLimitGuard&) = delete;
+  FdLimitGuard& operator=(const FdLimitGuard&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+}  // namespace
+
+TEST(Listener, FdExhaustionPausesAcceptInsteadOfSpinning) {
+  bus::Broker broker;
+  net::BusServer server(broker);
+  server.start();
+
+  std::size_t open_now = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++open_now;
+  }
+  const FdLimitGuard guard{static_cast<rlim_t>(open_now + 16)};
+  // Fill the fd table, then free one slot for the client's socket: the
+  // server (same process) is left with none for accept().
+  std::vector<common::SocketFd> fillers;
+  for (;;) {
+    const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    fillers.emplace_back(fd);
+  }
+  ASSERT_FALSE(fillers.empty());
+  fillers.pop_back();
+  const auto client = common::connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(client.valid());
+
+  // The queued connection keeps the listen fd readable while accept()
+  // fails EMFILE; a listener that retried at once would burn a core.
+  std::this_thread::sleep_for(50ms);
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(300ms);
+  const double cpu_used = process_cpu_seconds() - cpu_before;
+  EXPECT_LT(cpu_used, 0.1);
+  EXPECT_EQ(server.active_connections(), 0u);
+
+  // Freed fds: the paused listener re-arms and serves the queued peer.
+  fillers.clear();
+  EXPECT_TRUE(plain_handshake(client.get()));
+  EXPECT_EQ(server.active_connections(), 1u);
   server.stop();
 }
